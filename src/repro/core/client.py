@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
 from repro.meta.metadata_table import IndexRecord, MetadataTable
 from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
 from repro.storage.latency import LatencyModel
 from repro.storage.object_store import ObjectStore
@@ -49,6 +51,8 @@ from repro.storage.stats import RequestTrace
 
 INDEX_FILES_DIR = "files"
 DEFAULT_INDEX_TIMEOUT_S = 3600.0
+
+T = TypeVar("T")
 
 _SEARCHES = get_registry().counter(
     "searches_total", "Search calls by query kind", ("kind",)
@@ -438,6 +442,40 @@ class RottnestClient:
         every in-scope file — the degraded mode the serve layer falls
         back to when an index component read fails mid-query. Results
         are identical (indices only accelerate), just slower.
+
+        Every task runs inline on the calling thread;
+        :class:`~repro.serve.executor.SearchExecutor` runs the same
+        procedure across a worker pool.
+        """
+        return self._run_search(
+            column,
+            query,
+            k=k,
+            snapshot=snapshot,
+            partition=partition,
+            file_predicate=file_predicate,
+            use_indices=use_indices,
+            pool=None,
+        )
+
+    def _run_search(
+        self,
+        column: str,
+        query: Query,
+        *,
+        k: int,
+        snapshot: Snapshot | None,
+        partition: str | None,
+        file_predicate,
+        use_indices: bool,
+        pool: TracedPool | None,
+    ) -> SearchResult:
+        """The one search procedure, driven by a task runner.
+
+        Index-record continuations and brute-force scans are tasks,
+        consumed in submission order by :meth:`_run_tasks`: inline when
+        ``pool`` is None, else in waves of the pool's width. Exact
+        queries stop between waves once K verified matches exist.
         """
         if k < 1:
             raise RottnestIndexError(f"k must be >= 1, got {k}")
@@ -446,15 +484,14 @@ class RottnestClient:
             "search",
             column=column,
             k=k,
-            engine="client",
-            # Query kind rides on the root so the cracking heat map can
-            # weigh workloads (a brute-forced vector scan costs far more
-            # than a brute-forced UUID probe).
+            engine="client" if pool is None else "executor",
+            searchers=1 if pool is None else pool.workers,
             kind=type(query).__name__,
         ) as root:
             # Plan phase is part of the query's latency: reading the
             # metadata table (and the snapshot manifest when not pinned)
-            # costs real object-store round trips.
+            # costs real object-store round trips, inherently sequential,
+            # so it always runs on the calling thread.
             with tracer.span("plan", phase="plan") as plan_span:
                 self.store.start_trace()
                 snap = snapshot or self.lake.snapshot()
@@ -487,14 +524,15 @@ class RottnestClient:
                     fresh_span.set("matches", len(fresh))
 
             if query.scoring:
-                lazy = self._search_scoring(
-                    column, query, k, snap, snap_paths, chosen, uncovered, stats
+                lazy = self._ranked_matches(
+                    pool, column, query, snap, snap_paths, chosen, uncovered, stats
                 )
                 matches = sorted(fresh + lazy, key=lambda m: m.score)[:k]
             elif len(fresh) >= k:
                 matches = fresh[:k]
             else:
-                matches = fresh + self._search_exact(
+                matches = fresh + self._first_matches(
+                    pool,
                     column,
                     query,
                     k - len(fresh),
@@ -658,8 +696,9 @@ class RottnestClient:
         return chosen, snap_paths - covered
 
     # -- exact (UUID / substring / regex) ------------------------------
-    def _search_exact(
+    def _first_matches(
         self,
+        pool: TracedPool | None,
         column: str,
         query: Query,
         k: int,
@@ -670,115 +709,104 @@ class RottnestClient:
         stats: SearchStats,
     ) -> list[SearchMatch]:
         tracer = get_tracer()
-        # Candidate pages are kept per record (first probe to claim a
-        # page wins, via the shared `seen_pages` set) so page reads can
-        # be issued as one coalesced batch per claiming record — the
-        # same partition the pipelined executor produces.
-        per_record_pages: list[list[PageEntry]] = []
+        store = self.store
+        field = snap.schema.field(column)
+        matches: list[SearchMatch] = []
+
+        # Pipelined continuations: one task per index record runs probe
+        # -> claim -> coalesced page reads with no barrier against other
+        # records, so a finished probe's page reads overlap the other
+        # records' probes. The first probe to claim a page wins; claims
+        # are taken under a lock, in task order whenever tasks run one
+        # at a time.
         seen_pages: set[tuple[str, int]] = set()
-        with tracer.span("probe:index", phase="index_probe") as index_span:
-            index_trace = RequestTrace()
-            for record in chosen:
-                claimed: list[PageEntry] = []
-                trace = self._query_one_exact(
-                    record, query, snap_paths, claimed, seen_pages
-                )
-                per_record_pages.append(claimed)
-                # Index files are queried in parallel with each other...
-                index_trace = index_trace.merge_parallel(trace)
-            index_span.trace = index_trace
-        # ...but strictly after the plan phase.
-        stats.trace = stats.trace.then(index_trace)
-        stats.candidates = sum(len(c) for c in per_record_pages)
+        claim_lock = threading.Lock()
 
-        # In-situ probing: each record's claimed pages go out as one
-        # coalesced batch (`get_many`), then the real predicate is
-        # verified row by row with deletion vectors applied. Early-K
-        # termination skips whole later batches.
-        with tracer.span("probe:pages", phase="page_read") as page_span:
-            self.store.start_trace()
-            field = snap.schema.field(column)
-            matches: list[SearchMatch] = []
-            probed_files: set[str] = set()
-            for claimed in per_record_pages:
-                if len(matches) >= k or not claimed:
-                    continue
-                try:
-                    payloads = fetch_pages(self.store, field, claimed)
-                except ObjectStoreError as exc:
-                    _raise_unmaterialized(snap, _failed_key(exc, claimed), exc)
-                stats.pages_probed += len(claimed)
-                probed_files.update(entry.file_key for entry in claimed)
-                for entry, (row_start, values) in zip(claimed, payloads):
-                    dv = self.lake.deletion_vector(snap, entry.file_key)
-                    page_hit = False
-                    for i, value in enumerate(values):
-                        row = row_start + i
-                        if row in dv or not query.matches(value):
-                            continue
-                        page_hit = True
-                        matches.append(
-                            SearchMatch(file=entry.file_key, row=row, value=value)
-                        )
-                    if not page_hit:
-                        stats.false_positives += 1
-                    if len(matches) >= k:
-                        break
-            # Probing depends on index results; sequential after them.
-            page_span.trace = self.store.stop_trace()
-            page_span.set("probed_files", tuple(sorted(probed_files)))
-            stats.trace = stats.trace.then(page_span.trace)
-
-        # Brute-force the uncovered files only if K is not yet satisfied
-        # (paper §IV-B step 3).
-        if len(matches) < k and uncovered:
-            with tracer.span("brute_force", phase="brute_force") as brute_span:
-                self.store.start_trace()
-                scanned: list[str] = []
-                for path in sorted(uncovered):
-                    stats.files_brute_forced += 1
-                    scanned.append(path)
-                    matches.extend(
-                        self._brute_force_exact(
-                            column, query, snap, path, k - len(matches)
-                        )
-                    )
-                    if len(matches) >= k:
-                        break
-                brute_span.trace = self.store.stop_trace()
-                brute_span.set("scanned_files", tuple(scanned))
-                stats.trace = stats.trace.then(brute_span.trace)
-        return matches[:k]
-
-    def _query_one_exact(
-        self,
-        record: IndexRecord,
-        query: Query,
-        snap_paths: set[str],
-        candidate_pages: list[PageEntry],
-        seen_pages: set[tuple[str, int]],
-    ) -> RequestTrace:
-        """Query one index file; traces are kept separate so parallel
-        index queries do not serialize in the latency estimate."""
-        self.store.start_trace()
-        try:
-            reader = IndexFileReader.open(self.store, record.index_key)
+        def search_record(record: IndexRecord):
+            reader = IndexFileReader.open(store, record.index_key)
             querier = querier_for(record.index_type)(reader)
             assert isinstance(querier, ExactQuerier)
-            key = _exact_key(query)
-            gids = querier.candidate_pages(key)
+            gids = querier.candidate_pages(_exact_key(query))
             directory = reader.directory
-            for gid in gids:
-                entry = directory.locate(gid)
-                if entry.file_key not in snap_paths:
-                    continue  # stale location (file compacted away)
-                page_key = (entry.file_key, entry.page_id)
-                if page_key not in seen_pages:
-                    seen_pages.add(page_key)
-                    candidate_pages.append(entry)
-        finally:
-            trace = self.store.stop_trace()
-        return trace
+            found = [
+                entry
+                for entry in (directory.locate(gid) for gid in gids)
+                # Skip stale locations (files compacted away).
+                if entry.file_key in snap_paths
+            ]
+            claimed: list[PageEntry] = []
+            with claim_lock:
+                for entry in found:
+                    page_key = (entry.file_key, entry.page_id)
+                    if page_key not in seen_pages:
+                        seen_pages.add(page_key)
+                        claimed.append(entry)
+            # Page reads depend on this record's probe, and only on it.
+            store.barrier()
+            try:
+                payloads = fetch_pages(store, field, claimed)
+            except ObjectStoreError as exc:
+                _raise_unmaterialized(snap, _failed_key(exc, claimed), exc)
+            dvs = [self.lake.deletion_vector(snap, e.file_key) for e in claimed]
+            return claimed, payloads, dvs
+
+        def verify(batch) -> bool:
+            """Check one record's pages row by row, deletion vectors
+            applied; True once K matches exist."""
+            claimed, payloads, dvs = batch
+            for entry, (row_start, values), dv in zip(claimed, payloads, dvs):
+                page_hit = False
+                for i, value in enumerate(values):
+                    row = row_start + i
+                    if row in dv or not query.matches(value):
+                        continue
+                    page_hit = True
+                    matches.append(
+                        SearchMatch(file=entry.file_key, row=row, value=value)
+                    )
+                if not page_hit:
+                    stats.false_positives += 1
+                if len(matches) >= k:
+                    return True
+            return False
+
+        with tracer.span("probe", phase="probe") as probe_span:
+            probe_span.trace, batches = self._run_tasks(
+                pool, [lambda r=record: search_record(r) for record in chosen], verify
+            )
+            fetched = [entry for claimed, _, _ in batches for entry in claimed]
+            probe_span.set(
+                "probed_files", tuple(sorted({e.file_key for e in fetched}))
+            )
+        stats.trace = stats.trace.then(probe_span.trace)
+        stats.candidates = stats.pages_probed = len(fetched)
+
+        # Brute-force the uncovered files only if K is not yet satisfied
+        # (paper §IV-B step 3), one file per task, each asked only for
+        # the matches still missing.
+        if len(matches) < k and uncovered:
+            paths = sorted(uncovered)
+
+            def take(found: list[SearchMatch]) -> bool:
+                matches.extend(found)
+                return len(matches) >= k
+
+            with tracer.span("brute_force", phase="brute_force") as brute_span:
+                brute_span.trace, scanned = self._run_tasks(
+                    pool,
+                    [
+                        lambda p=path: self._brute_force_exact(
+                            column, query, snap, p, k - len(matches)
+                        )
+                        for path in paths
+                    ],
+                    take,
+                    serial=True,
+                )
+                brute_span.set("scanned_files", tuple(paths[: len(scanned)]))
+            stats.trace = stats.trace.then(brute_span.trace)
+            stats.files_brute_forced = len(scanned)
+        return matches[:k]
 
     def _brute_force_exact(
         self,
@@ -800,113 +828,190 @@ class RottnestClient:
         return out
 
     # -- scoring (vector) ------------------------------------------------
-    def _search_scoring(
+    def _ranked_matches(
         self,
+        pool: TracedPool | None,
         column: str,
         query: VectorQuery,
-        k: int,
         snap: Snapshot,
         snap_paths: set[str],
         chosen: list[IndexRecord],
         uncovered: set[str],
         stats: SearchStats,
     ) -> list[SearchMatch]:
+        """Every in-scope row's candidacy, scored; the caller keeps the
+        best K."""
         tracer = get_tracer()
-        candidates: list[tuple[PageEntry, int, float]] = []
+        store = self.store
+
+        def probe_index(record: IndexRecord):
+            reader = IndexFileReader.open(store, record.index_key)
+            querier = querier_for(record.index_type)(reader)
+            assert isinstance(querier, ScoringQuerier)
+            found = querier.candidates(
+                query.vector, nprobe=query.nprobe, limit=query.refine
+            )
+            directory = reader.directory
+            located = [
+                (entry, cand.offset, cand.score)
+                for cand in found
+                for entry in (directory.locate(cand.gid),)
+                if entry.file_key in snap_paths
+            ]
+            return located, tuple(getattr(querier, "last_probed_cells", ()))
+
         with tracer.span("probe:index", phase="index_probe") as index_span:
-            index_trace = RequestTrace()
-            cell_probes: list[tuple[str, tuple[int, ...]]] = []
-            for record in chosen:
-                self.store.start_trace()
-                try:
-                    reader = IndexFileReader.open(self.store, record.index_key)
-                    querier = querier_for(record.index_type)(reader)
-                    assert isinstance(querier, ScoringQuerier)
-                    found = querier.candidates(
-                        query.vector, nprobe=query.nprobe, limit=query.refine
-                    )
-                    probed = getattr(querier, "last_probed_cells", ())
-                    if probed:
-                        cell_probes.append((record.index_key, tuple(probed)))
-                    directory = reader.directory
-                    for cand in found:
-                        entry = directory.locate(cand.gid)
-                        if entry.file_key in snap_paths:
-                            candidates.append((entry, cand.offset, cand.score))
-                finally:
-                    trace = self.store.stop_trace()
-                index_trace = index_trace.merge_parallel(trace)
-            index_span.trace = index_trace
-            index_span.set("cell_probes", tuple(cell_probes))
-        stats.trace = stats.trace.then(index_trace)
+            index_span.trace, per_record = self._run_tasks(
+                pool, [lambda r=record: probe_index(r) for record in chosen]
+            )
+            index_span.set(
+                "cell_probes",
+                tuple(
+                    (record.index_key, cells)
+                    for record, (_, cells) in zip(chosen, per_record)
+                    if cells
+                ),
+            )
+        stats.trace = stats.trace.then(index_span.trace)
         # Keep the globally best `refine` PQ candidates across indices.
-        candidates.sort(key=lambda c: c[2])
-        candidates = candidates[: query.refine]
+        candidates = sorted(
+            (cand for located, _ in per_record for cand in located),
+            key=lambda c: c[2],
+        )[: query.refine]
         stats.candidates = len(candidates)
 
-        # Refine: read candidate pages as one coalesced batch, compute
-        # exact distances.
-        with tracer.span("probe:pages", phase="page_read") as page_span:
-            self.store.start_trace()
-            field = snap.schema.field(column)
-            by_page: dict[tuple[str, int], list[int]] = {}
-            entries: dict[tuple[str, int], PageEntry] = {}
-            for entry, offset, _ in candidates:
-                page_key = (entry.file_key, entry.page_id)
-                by_page.setdefault(page_key, []).append(offset)
-                entries[page_key] = entry
-            scored: list[SearchMatch] = []
-            page_entries = [entries[page_key] for page_key in by_page]
+        # Refine: group candidates by page (first-seen order), read them
+        # as one coalesced batch, compute exact distances. The global
+        # sort above is a real cross-record dependency, so this phase
+        # keeps its barrier.
+        field = snap.schema.field(column)
+        by_page: dict[tuple[str, int], list[int]] = {}
+        entries: dict[tuple[str, int], PageEntry] = {}
+        for entry, offset, _ in candidates:
+            page_key = (entry.file_key, entry.page_id)
+            by_page.setdefault(page_key, []).append(offset)
+            entries[page_key] = entry
+        page_entries = [entries[page_key] for page_key in by_page]
+
+        def read_pages():
             try:
-                payloads = fetch_pages(self.store, field, page_entries)
+                payloads = fetch_pages(store, field, page_entries)
             except ObjectStoreError as exc:
                 _raise_unmaterialized(snap, _failed_key(exc, page_entries), exc)
-            stats.pages_probed += len(page_entries)
-            for entry, offsets, (row_start, values) in zip(
-                page_entries, by_page.values(), payloads
-            ):
-                dv = self.lake.deletion_vector(snap, entry.file_key)
-                for offset in set(offsets):
-                    row = row_start + offset
-                    if row in dv:
-                        continue
-                    value = values[offset]
-                    scored.append(
-                        SearchMatch(
-                            file=entry.file_key,
-                            row=row,
-                            value=value,
-                            score=query.distance(value),
-                        )
-                    )
-            page_span.trace = self.store.stop_trace()
+            dvs = [self.lake.deletion_vector(snap, e.file_key) for e in page_entries]
+            return payloads, dvs
+
+        with tracer.span("probe:pages", phase="page_read") as page_span:
+            page_span.trace, batches = self._run_tasks(
+                pool, [read_pages] if page_entries else []
+            )
             page_span.set(
                 "probed_files", tuple(sorted({e.file_key for e in page_entries}))
             )
-            stats.trace = stats.trace.then(page_span.trace)
+        stats.trace = stats.trace.then(page_span.trace)
+        stats.pages_probed = len(page_entries)
+        payloads, dvs = batches[0] if batches else ([], [])
+        scored: list[SearchMatch] = []
+        for entry, offsets, (row_start, values), dv in zip(
+            page_entries, by_page.values(), payloads, dvs
+        ):
+            for offset in set(offsets):
+                row = row_start + offset
+                if row in dv:
+                    continue
+                value = values[offset]
+                scored.append(
+                    SearchMatch(
+                        file=entry.file_key,
+                        row=row,
+                        value=value,
+                        score=query.distance(value),
+                    )
+                )
+
         # Scoring queries must rank *all* data: unindexed files are
         # scanned exhaustively (paper §IV-B step 3).
+        def scan_file(path: str) -> list[SearchMatch]:
+            dv = self.lake.deletion_vector(snap, path)
+            reader = self._open_data_file(snap, path)
+            return [
+                SearchMatch(
+                    file=path, row=row, value=value, score=query.distance(value)
+                )
+                for row, value in reader.scan_column(column)
+                if row not in dv
+            ]
+
         if uncovered:
+            paths = sorted(uncovered)
             with tracer.span("brute_force", phase="brute_force") as brute_span:
-                self.store.start_trace()
-                brute_span.set("scanned_files", tuple(sorted(uncovered)))
-                for path in sorted(uncovered):
-                    stats.files_brute_forced += 1
-                    dv = self.lake.deletion_vector(snap, path)
-                    reader = self._open_data_file(snap, path)
-                    for row, value in reader.scan_column(column):
-                        if row in dv:
-                            continue
-                        scored.append(
-                            SearchMatch(
-                                file=path, row=row, value=value,
-                                score=query.distance(value),
-                            )
-                        )
-                brute_span.trace = self.store.stop_trace()
-                stats.trace = stats.trace.then(brute_span.trace)
-        scored.sort(key=lambda m: m.score)
-        return scored[:k]
+                brute_span.trace, per_file = self._run_tasks(
+                    pool, [lambda p=path: scan_file(p) for path in paths], serial=True
+                )
+                brute_span.set("scanned_files", tuple(paths))
+            stats.trace = stats.trace.then(brute_span.trace)
+            stats.files_brute_forced = len(per_file)
+            for file_matches in per_file:
+                scored.extend(file_matches)
+        return scored
+
+    # -- task runner -----------------------------------------------------
+    def _run_tasks(
+        self,
+        pool: TracedPool | None,
+        tasks: list[Callable[[], T]],
+        consume: Callable[[T], bool] | None = None,
+        *,
+        serial: bool = False,
+    ) -> tuple[RequestTrace, list[T]]:
+        """Run one search stage's tasks in submission order.
+
+        Returns the stage's request trace and the payloads of every task
+        that ran. ``consume`` sees the payloads in task order and returns
+        True once the query needs nothing more: no later wave starts.
+
+        With a ``pool`` the tasks run in waves of its width; traces merge
+        in parallel within a wave and waves compose with ``then``. Without
+        one each task runs on the calling thread and the stage is priced
+        as one parallel wave of independent requests or, with ``serial``,
+        as one continuous trace: a scan that reads file after file, so
+        one file's last round shares a round with the next file's first
+        request. (Joining inline tasks with ``then`` instead would price
+        the inline client like a width-1 pool, which models far slower;
+        see docs/performance.md.)
+        """
+        store = self.store
+        payloads: list[T] = []
+        if pool is not None:
+            if tasks:
+                get_hub().series("serve.fanout_tasks").observe(
+                    float(len(tasks)), at_s=store.clock.now()
+                )
+            trace = RequestTrace()
+            for start in range(0, len(tasks), pool.workers):
+                wave_trace, wave = pool.run(tasks[start : start + pool.workers])
+                trace = trace.then(wave_trace)
+                payloads.extend(wave)
+                if consume is not None and any(consume(p) for p in wave):
+                    break
+            return trace, payloads
+        trace = store.start_trace() if serial else RequestTrace()
+        try:
+            for task in tasks:
+                if serial:
+                    payloads.append(task())
+                else:
+                    store.start_trace()
+                    try:
+                        payloads.append(task())
+                    finally:
+                        trace = trace.merge_parallel(store.stop_trace())
+                if consume is not None and consume(payloads[-1]):
+                    break
+        finally:
+            if serial:
+                store.stop_trace()
+        return trace, payloads
 
 
 def _count_overlapping(haystack: str, needle: str) -> int:

@@ -2,13 +2,13 @@
 
 The cracking controller needs to know *where queries land*, not just
 how many there are. This module keeps one exponentially-decayed counter
-per :class:`HeatKey` — a (scope, column, query kind) triple where the
-scope is either a lake file path or an IVF-PQ cell address
-(``"{index_key}#cell={i}"``). The counters are fed from the span trees
-the search client already emits (``repro.obs.trace``): the brute-force
-span records which files it scanned, the page-probe span which files it
-touched, and the vector index-probe span which inverted lists each
-probe actually hit. No new instrumentation path exists just for
+per :class:`HeatKey` — a (scope, column) pair where the scope is either
+a lake file path or an IVF-PQ cell address (``"{index_key}#cell={i}"``).
+The counters are fed from the span trees every search emits
+(``repro.obs.trace``), whichever runner served it: phase spans record
+the files they scanned (``scanned_files``), the files whose pages they
+probed (``probed_files``) and the inverted lists each vector probe hit
+(``cell_probes``). No new instrumentation path exists just for
 cracking — if tracing is on, the heat map can be fed.
 
 Decay is exact, not tick-based: a cell stores ``(value, stamp)`` and
@@ -44,15 +44,11 @@ class HeatKey:
 
     ``scope`` is a lake file path (file-granularity heat, feeds the
     index/don't-index decision) or ``"{index_key}#cell={i}"`` (IVF-PQ
-    cell-granularity heat, feeds the split/refine decision). ``kind``
-    is the query class name so the policy can weigh workloads
-    differently (a brute-forced vector scan costs far more than a
-    brute-forced UUID probe).
+    cell-granularity heat, feeds the split/refine decision).
     """
 
     scope: str
     column: str
-    kind: str
 
     @property
     def is_cell(self) -> bool:
@@ -198,7 +194,7 @@ class HeatMap:
         return rows if limit is None else rows[:limit]
 
     def file_heat(self, *, at_s: float, column: str | None = None) -> dict[str, float]:
-        """Summed heat per file path (all query kinds folded)."""
+        """Summed heat per file path (over columns unless one is given)."""
         out: dict[str, float] = {}
         for key, value in self.hottest(at_s=at_s, column=column, cells=False):
             out[key.scope] = out.get(key.scope, 0.0) + value
@@ -215,57 +211,41 @@ class HeatMap:
 
     # -- span ingestion ------------------------------------------------
     def observe_spans(self, spans: list[Span], *, at_s: float | None = None) -> int:
-        """Feed finished ``search`` span trees into the map.
+        """Feed finished span trees into the map.
 
-        Reads the attributes the client already records: the query
-        kind on the root, the files the brute-force phase scanned, the
-        files whose pages were probed, and the IVF-PQ cells each
-        vector probe landed in. Non-search roots (daemon ticks, index
-        runs) are ignored. Returns the number of observations made.
-        ``at_s`` defaults to each root span's end time — correct when
-        the tracer runs on the store's sim clock.
+        Every ``search`` span in the trees counts — a root of its own
+        (``client.search``) or nested under a server or router span.
+        Its phase spans are read by attribute, not by name: each path
+        in ``scanned_files`` or ``probed_files`` and each cell in
+        ``cell_probes`` is one observation. Trees without a search
+        (daemon ticks, index runs) are ignored. Returns the number of
+        observations made. ``at_s`` defaults to each search span's end
+        time — correct when the tracer runs on the store's sim clock.
         """
         observed = 0
         for root in spans:
-            if root.name != "search":
-                continue
-            column = str(root.attributes.get("column", ""))
-            kind = str(root.attributes.get("kind", "?"))
-            when = at_s if at_s is not None else float(root.end_s or root.start_s)
-            for span in root.walk():
-                if span.name == "brute_force":
-                    paths = span.attributes.get("scanned_files", ())
-                    # Brute-scanned files are the expensive ones — they
-                    # pay a full-file read per query until indexed.
-                    weight = 1.0
-                elif span.name == "probe:pages":
-                    paths = span.attributes.get("probed_files", ())
-                    weight = 1.0
-                else:
-                    paths = ()
-                    weight = 0.0
-                for path in paths:
-                    self.observe(
-                        HeatKey(scope=str(path), column=column, kind=kind),
-                        weight,
-                        at_s=when,
+            for search in root.find_all("search"):
+                column = str(search.attributes.get("column", ""))
+                when = (
+                    at_s
+                    if at_s is not None
+                    else float(search.end_s or search.start_s)
+                )
+                for span in search.walk():
+                    attrs = span.attributes
+                    scopes = [
+                        str(path)
+                        for name in ("scanned_files", "probed_files")
+                        for path in attrs.get(name, ())
+                    ]
+                    scopes.extend(
+                        cell_scope(str(index_key), int(cell))
+                        for index_key, cells in attrs.get("cell_probes", ())
+                        for cell in cells
                     )
-                    observed += 1
-                if span.name == "probe:index":
-                    for index_key, probed in span.attributes.get(
-                        "cell_probes", ()
-                    ):
-                        for cell in probed:
-                            self.observe(
-                                HeatKey(
-                                    scope=cell_scope(str(index_key), int(cell)),
-                                    column=column,
-                                    kind=kind,
-                                ),
-                                1.0,
-                                at_s=when,
-                            )
-                            observed += 1
+                    for scope in scopes:
+                        self.observe(HeatKey(scope, column), 1.0, at_s=when)
+                    observed += len(scopes)
         return observed
 
     # -- serialization -------------------------------------------------
@@ -273,7 +253,7 @@ class HeatMap:
         return {
             "half_life_s": self.half_life_s,
             "cells": [
-                [k.scope, k.column, k.kind, value, stamp]
+                [k.scope, k.column, value, stamp]
                 for k, (value, stamp) in sorted(self._cells.items())
             ],
         }
@@ -282,8 +262,8 @@ class HeatMap:
     def from_dict(cls, payload: dict) -> "HeatMap":
         try:
             hm = cls(half_life_s=float(payload["half_life_s"]))
-            for scope, column, kind, value, stamp in payload["cells"]:
-                hm._cells[HeatKey(str(scope), str(column), str(kind))] = (
+            for scope, column, value, stamp in payload["cells"]:
+                hm._cells[HeatKey(str(scope), str(column))] = (
                     float(value),
                     float(stamp),
                 )

@@ -753,16 +753,16 @@ def _heat_section(heat, *, limit: int = 12) -> str:
         return ""
     data = heat.to_dict()
     stamps = {
-        (scope, column, kind): float(stamp)
-        for scope, column, kind, _value, stamp in data["cells"]
+        (scope, column): float(stamp)
+        for scope, column, _value, stamp in data["cells"]
     }
     newest = max(stamps.values())
     rows = []
     for key, hotness in heat.hottest(at_s=newest, limit=limit):
-        age_s = newest - stamps[(key.scope, key.column, key.kind)]
+        age_s = newest - stamps[(key.scope, key.column)]
         rows.append(
             f"<tr><td><code>{_esc(key.scope)}</code></td>"
-            f"<td>{_esc(key.column)}</td><td>{_esc(key.kind)}</td>"
+            f"<td>{_esc(key.column)}</td>"
             f"<td>{hotness:.3f}</td><td>{age_s:.0f}</td></tr>"
         )
     return (
@@ -770,7 +770,7 @@ def _heat_section(heat, *, limit: int = 12) -> str:
         f"<p class='sub'>top {len(rows)} of {len(heat)} heat cells by "
         "decayed hotness — what the cracking controller will act on "
         "next (age relative to the freshest observation)</p>"
-        "<table><tr><th>scope</th><th>column</th><th>kind</th>"
+        "<table><tr><th>scope</th><th>column</th>"
         "<th>heat</th><th>age s</th></tr>"
         f"{''.join(rows)}</table></section>"
     )

@@ -4,56 +4,39 @@ Rottnest's defining serving property is that index-file queries are
 *independent*: one query fans its index probes and in-situ page reads
 across searchers, latency stays ~flat (the dependency *depth* is the
 floor) while cost grows ~linearly with searcher count.
-:class:`RottnestClient.search` executes that plan one index file at a
-time on one thread; :class:`SearchExecutor` runs the same plan across a
-bounded worker pool.
 
-Execution keeps the sequential client's *semantics* bit-for-bit — the
-matches returned are identical (an equivalence test enforces this
-across the UUID, substring, and vector workloads) — while the measured
+There is one search procedure, :meth:`RottnestClient.search`'s; it
+runs its tasks through a task runner. The client runs them inline on
+the calling thread. :class:`SearchExecutor` hands the same procedure a
+bounded :class:`~repro.storage.pool.TracedPool`, so the matches are the
+ones the client returns, while the measured
 :class:`~repro.storage.stats.RequestTrace` reflects the real
 concurrency: each worker records its own per-thread trace; traces of
 tasks running in the same wave of ``max_searchers`` workers merge with
-``merge_parallel``, waves compose sequentially with ``then``. With one
-searcher the trace degenerates to the sequential client's shape; with
-many it reproduces Fig. 8c's flat-latency/linear-cost curve.
+``merge_parallel``, waves compose sequentially with ``then``. Wide
+pools reproduce Fig. 8c's flat-latency/linear-cost curve.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, TypeVar
+from repro.core.client import RottnestClient, SearchResult
+from repro.core.queries import Query
+from repro.errors import RottnestIndexError
 
-from repro.core.client import (
-    RottnestClient,
-    SearchMatch,
-    SearchResult,
-    SearchStats,
-    _exact_key,
-    _failed_key as _failed_page_key,
-    _raise_unmaterialized,
-)
-from repro.core.index_file import IndexFileReader
-from repro.core.queries import Query, VectorQuery
-from repro.errors import ObjectStoreError, RottnestIndexError
-from repro.formats.page_reader import PageEntry, fetch_pages
-from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
+# Kept as a module name so tooling that wraps page reads per module
+# (perfbench's shims) finds the same target it always has.
+from repro.formats.page_reader import fetch_pages  # noqa: F401
 from repro.lake.snapshot import Snapshot
-from repro.meta.metadata_table import IndexRecord
-from repro.obs.timeseries import get_hub
-from repro.obs.trace import get_tracer
 from repro.storage.pool import IOBudget, TracedPool
-from repro.storage.stats import RequestTrace
-
-T = TypeVar("T")
 
 
 class SearchExecutor:
     """Runs one query's search plan across ``max_searchers`` workers.
 
     Usable as a context manager; :meth:`close` shuts the pool down.
-    Results are interchangeable with ``client.search`` — only the
-    request trace (and therefore modeled latency/cost) differs.
+    Matches are interchangeable with ``client.search``; only the
+    request trace differs — its parallel shape, and for exact queries
+    up to one wave of tasks read past the one that met K.
     """
 
     def __init__(
@@ -92,16 +75,6 @@ class SearchExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- fan-out machinery ---------------------------------------------
-    def _fan_out(self, tasks: list[Callable[[], T]]) -> tuple[RequestTrace, list[T]]:
-        """Run tasks on the shared pool in waves of ``max_searchers``;
-        see :meth:`TracedPool.run` for trace composition and ordering."""
-        if tasks:
-            get_hub().series("serve.fanout_tasks").observe(
-                float(len(tasks)), at_s=self.client.store.clock.now()
-            )
-        return self._pool.run(tasks)
-
     # -- public API ----------------------------------------------------
     def search(
         self,
@@ -121,298 +94,13 @@ class SearchExecutor:
         :class:`~repro.serve.server.SearchServer` falls back to when an
         index component read fails mid-query.
         """
-        if k < 1:
-            raise RottnestIndexError(f"k must be >= 1, got {k}")
-        client = self.client
-        store = client.store
-        tracer = get_tracer()
-        with tracer.span(
-            "search",
-            column=column,
+        return self.client._run_search(
+            column,
+            query,
             k=k,
-            engine="executor",
-            searchers=self.max_searchers,
-        ) as root:
-            # Plan phase on the calling thread: metadata-table and
-            # manifest reads are inherently sequential round trips.
-            with tracer.span("plan", phase="plan") as plan_span:
-                store.start_trace()
-                snap = snapshot or client.lake.snapshot()
-                snap_paths = client._scope(snap, partition, file_predicate)
-                if use_indices:
-                    chosen, uncovered = client._plan(column, query, snap_paths)
-                else:
-                    chosen, uncovered = [], set(snap_paths)
-                plan_trace = store.stop_trace()
-                plan_trace.barrier()
-                plan_span.trace = plan_trace
-
-            stats = SearchStats(trace=plan_trace)
-            stats.index_files_queried = len(chosen)
-
-            # Fresh-tier probe on the calling thread: memtables are
-            # in-memory, so there is nothing to fan out. Same merge
-            # contract as the sequential client — fresh rows count
-            # toward K for exact queries, scored rows join the global
-            # sort for top-k queries. Scoped queries stay lazy-only.
-            fresh: list[SearchMatch] = []
-            if (
-                client.fresh_tier is not None
-                and partition is None
-                and file_predicate is None
-            ):
-                with tracer.span("probe:fresh", phase="fresh") as fresh_span:
-                    fresh = client.fresh_tier.search_fresh(
-                        column, query, k=k, snapshot=snap
-                    )
-                    fresh_span.set("matches", len(fresh))
-
-            if query.scoring:
-                lazy = self._scoring(
-                    column, query, k, snap, snap_paths, chosen, uncovered, stats
-                )
-                matches = sorted(fresh + lazy, key=lambda m: m.score)[:k]
-            elif len(fresh) >= k:
-                matches = fresh[:k]
-            else:
-                matches = fresh + self._exact(
-                    column,
-                    query,
-                    k - len(fresh),
-                    snap,
-                    snap_paths,
-                    chosen,
-                    uncovered,
-                    stats,
-                )
-            root.set("matches", len(matches))
-            root.set("fresh_matches", len(fresh))
-            root.set("index_files_queried", stats.index_files_queried)
-            root.set("pages_probed", stats.pages_probed)
-            root.set("files_brute_forced", stats.files_brute_forced)
-        return SearchResult(matches=matches, stats=stats)
-
-    # -- exact path ------------------------------------------------------
-    def _exact(
-        self,
-        column: str,
-        query: Query,
-        k: int,
-        snap: Snapshot,
-        snap_paths: set[str],
-        chosen: list[IndexRecord],
-        uncovered: set[str],
-        stats: SearchStats,
-    ) -> list[SearchMatch]:
-        client = self.client
-        store = client.store
-        field = snap.schema.field(column)
-
-        # Pipelined continuations: one task per index record runs probe
-        # -> claim -> coalesced page reads without a global barrier, so
-        # a finished probe's page reads overlap other records' probes.
-        # Claiming (first probe to claim a page wins, under a lock in
-        # task-submission order for the common single-record case)
-        # partitions pages exactly like the sequential client's shared
-        # `seen_pages` set, so both engines issue the same batches.
-        seen_pages: set[tuple[str, int]] = set()
-        claim_lock = threading.Lock()
-
-        def search_record(record: IndexRecord):
-            reader = IndexFileReader.open(store, record.index_key)
-            querier = querier_for(record.index_type)(reader)
-            assert isinstance(querier, ExactQuerier)
-            gids = querier.candidate_pages(_exact_key(query))
-            directory = reader.directory
-            found = [
-                entry
-                for entry in (directory.locate(gid) for gid in gids)
-                if entry.file_key in snap_paths
-            ]
-            claimed: list[PageEntry] = []
-            with claim_lock:
-                for entry in found:
-                    page_key = (entry.file_key, entry.page_id)
-                    if page_key not in seen_pages:
-                        seen_pages.add(page_key)
-                        claimed.append(entry)
-            # Page reads depend on this record's probe — but only on
-            # it, not on every other record's (the old phase barrier).
-            store.barrier()
-            try:
-                payloads = fetch_pages(store, field, claimed)
-            except ObjectStoreError as exc:
-                _raise_unmaterialized(snap, _failed_page_key(exc, claimed), exc)
-            dvs = [
-                client.lake.deletion_vector(snap, entry.file_key)
-                for entry in claimed
-            ]
-            return claimed, payloads, dvs
-
-        with get_tracer().span("probe", phase="probe") as probe_span:
-            probe_trace, per_record = self._fan_out(
-                [lambda r=record: search_record(r) for record in chosen]
-            )
-            probe_span.trace = probe_trace
-        stats.trace = stats.trace.then(probe_trace)
-        stats.candidates = sum(len(claimed) for claimed, _, _ in per_record)
-        stats.pages_probed = stats.candidates
-
-        # Verification replays the batches in submission order so
-        # early-K termination picks the same matches the sequential
-        # scan would.
-        matches: list[SearchMatch] = []
-        for claimed, payloads, dvs in per_record:
-            if len(matches) >= k:
-                break
-            for entry, (row_start, values), dv in zip(claimed, payloads, dvs):
-                page_hit = False
-                for i, value in enumerate(values):
-                    row = row_start + i
-                    if row in dv or not query.matches(value):
-                        continue
-                    page_hit = True
-                    matches.append(
-                        SearchMatch(file=entry.file_key, row=row, value=value)
-                    )
-                if not page_hit:
-                    stats.false_positives += 1
-                if len(matches) >= k:
-                    break
-
-        if len(matches) < k and uncovered:
-            needed = k - len(matches)
-            with get_tracer().span("brute_force", phase="brute_force") as brute_span:
-                brute_trace, per_file = self._fan_out(
-                    [
-                        lambda p=path: client._brute_force_exact(
-                            column, query, snap, p, needed
-                        )
-                        for path in sorted(uncovered)
-                    ]
-                )
-                brute_span.trace = brute_trace
-            stats.trace = stats.trace.then(brute_trace)
-            stats.files_brute_forced = len(per_file)
-            for file_matches in per_file:
-                matches.extend(file_matches)
-                if len(matches) >= k:
-                    break
-        return matches[:k]
-
-    # -- scoring path ----------------------------------------------------
-    def _scoring(
-        self,
-        column: str,
-        query: VectorQuery,
-        k: int,
-        snap: Snapshot,
-        snap_paths: set[str],
-        chosen: list[IndexRecord],
-        uncovered: set[str],
-        stats: SearchStats,
-    ) -> list[SearchMatch]:
-        client = self.client
-        store = client.store
-
-        def probe_index(record: IndexRecord):
-            reader = IndexFileReader.open(store, record.index_key)
-            querier = querier_for(record.index_type)(reader)
-            assert isinstance(querier, ScoringQuerier)
-            found = querier.candidates(
-                query.vector, nprobe=query.nprobe, limit=query.refine
-            )
-            directory = reader.directory
-            return [
-                (entry, cand.offset, cand.score)
-                for cand in found
-                for entry in (directory.locate(cand.gid),)
-                if entry.file_key in snap_paths
-            ]
-
-        with get_tracer().span("probe:index", phase="index_probe") as index_span:
-            index_trace, per_record = self._fan_out(
-                [lambda r=record: probe_index(r) for record in chosen]
-            )
-            index_span.trace = index_trace
-        stats.trace = stats.trace.then(index_trace)
-        candidates: list[tuple[PageEntry, int, float]] = []
-        for found in per_record:
-            candidates.extend(found)
-        candidates.sort(key=lambda c: c[2])
-        candidates = candidates[: query.refine]
-        stats.candidates = len(candidates)
-
-        # Refine: group candidates by page (insertion order, like the
-        # sequential client), read them as one coalesced batch, then
-        # score in order. The global sort above is a real cross-record
-        # dependency, so this phase keeps its barrier.
-        field = snap.schema.field(column)
-        by_page: dict[tuple[str, int], list[int]] = {}
-        entries: dict[tuple[str, int], PageEntry] = {}
-        for entry, offset, _ in candidates:
-            page_key = (entry.file_key, entry.page_id)
-            by_page.setdefault(page_key, []).append(offset)
-            entries[page_key] = entry
-        page_entries = [entries[page_key] for page_key in by_page]
-
-        def probe_pages():
-            try:
-                payloads = fetch_pages(store, field, page_entries)
-            except ObjectStoreError as exc:
-                _raise_unmaterialized(
-                    snap, _failed_page_key(exc, page_entries), exc
-                )
-            dvs = [
-                client.lake.deletion_vector(snap, entry.file_key)
-                for entry in page_entries
-            ]
-            return payloads, dvs
-
-        with get_tracer().span("probe:pages", phase="page_read") as page_span:
-            refine_trace, batches = self._fan_out(
-                [probe_pages] if page_entries else []
-            )
-            page_span.trace = refine_trace
-        payloads, dvs = batches[0] if batches else ([], [])
-        stats.pages_probed = len(page_entries)
-        scored: list[SearchMatch] = []
-        for entry, offsets, (row_start, values), dv in zip(
-            page_entries, by_page.values(), payloads, dvs
-        ):
-            for offset in set(offsets):
-                row = row_start + offset
-                if row in dv:
-                    continue
-                value = values[offset]
-                scored.append(
-                    SearchMatch(
-                        file=entry.file_key,
-                        row=row,
-                        value=value,
-                        score=query.distance(value),
-                    )
-                )
-
-        def scan_file(path: str) -> list[SearchMatch]:
-            dv = client.lake.deletion_vector(snap, path)
-            reader = client._open_data_file(snap, path)
-            return [
-                SearchMatch(
-                    file=path, row=row, value=value, score=query.distance(value)
-                )
-                for row, value in reader.scan_column(column)
-                if row not in dv
-            ]
-
-        with get_tracer().span("brute_force", phase="brute_force") as scan_span:
-            scan_trace, per_file = self._fan_out(
-                [lambda p=path: scan_file(p) for path in sorted(uncovered)]
-            )
-            scan_span.trace = scan_trace
-        stats.files_brute_forced = len(per_file)
-        for file_matches in per_file:
-            scored.extend(file_matches)
-        stats.trace = stats.trace.then(refine_trace).then(scan_trace)
-        scored.sort(key=lambda m: m.score)
-        return scored[:k]
+            snapshot=snapshot,
+            partition=partition,
+            file_predicate=file_predicate,
+            use_indices=use_indices,
+            pool=self._pool,
+        )

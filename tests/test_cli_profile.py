@@ -51,10 +51,10 @@ def test_profile_prints_bill_and_reconciles(indexed_bucket, capsys):
     # Timeline with the phase spans...
     assert "search" in out
     assert "plan" in out
-    assert "probe:index" in out
+    assert "\n  probe " in out
     # ...the bill table...
     assert "per-query bill" in out
-    assert "index_probe" in out
+    assert "\nprobe " in out
     assert "total cost" in out
     # ...and the acceptance criterion, verified by the command itself.
     assert "[exact]" in out

@@ -70,7 +70,7 @@ def _uuid_heat(client: RottnestClient, hot_files: int) -> HeatMap:
     now = client.store.clock.now()
     for entry in client.lake.snapshot().files[:hot_files]:
         heat.observe(
-            HeatKey(entry.path, "uuid", "UuidQuery"), 10.0, at_s=now
+            HeatKey(entry.path, "uuid"), 10.0, at_s=now
         )
     return heat
 
@@ -81,7 +81,7 @@ def _cell_heat(client: RottnestClient, index_key: str) -> HeatMap:
     now = client.store.clock.now()
     for cell in range(4):
         heat.observe(
-            HeatKey(cell_scope(index_key, cell), "emb", "VectorQuery"),
+            HeatKey(cell_scope(index_key, cell), "emb"),
             10.0,
             at_s=now,
         )

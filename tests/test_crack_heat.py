@@ -32,10 +32,10 @@ from repro.obs.trace import Tracer
 
 KEYS = st.sampled_from(
     [
-        HeatKey("lake/a.parquet", "uuid", "UuidQuery"),
-        HeatKey("lake/b.parquet", "uuid", "UuidQuery"),
-        HeatKey("lake/b.parquet", "text", "SubstringQuery"),
-        HeatKey(cell_scope("idx/f-1.bin", 3), "emb", "VectorQuery"),
+        HeatKey("lake/a.parquet", "uuid"),
+        HeatKey("lake/b.parquet", "uuid"),
+        HeatKey("lake/b.parquet", "text"),
+        HeatKey(cell_scope("idx/f-1.bin", 3), "emb"),
     ]
 )
 WEIGHTS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -141,7 +141,7 @@ class TestValidation:
     def test_rejects_negative_weight(self):
         hm = HeatMap()
         with pytest.raises(CrackError):
-            hm.observe(HeatKey("f", "c", "k"), -1.0, at_s=0.0)
+            hm.observe(HeatKey("f", "c"), -1.0, at_s=0.0)
 
     def test_rejects_negative_floor(self):
         with pytest.raises(CrackError):
@@ -159,11 +159,22 @@ class TestValidation:
                 {"half_life_s": 60.0, "cells": [["only", "three", "items"]]}
             )
 
+    def test_rejects_kind_keyed_payload(self):
+        """Cells keyed (scope, column, kind) predate the (scope, column)
+        key; they are malformed, not silently folded."""
+        with pytest.raises(CrackError):
+            HeatMap.from_dict(
+                {
+                    "half_life_s": 60.0,
+                    "cells": [["lake/a", "uuid", "UuidQuery", 1.0, 0.0]],
+                }
+            )
+
 
 class TestHalfLife:
     def test_heat_halves_every_half_life(self):
         hm = HeatMap(half_life_s=100.0)
-        key = HeatKey("f", "c", "k")
+        key = HeatKey("f", "c")
         hm.observe(key, 8.0, at_s=0.0)
         assert hm.heat(key, at_s=0.0) == pytest.approx(8.0)
         assert hm.heat(key, at_s=100.0) == pytest.approx(4.0)
@@ -172,7 +183,7 @@ class TestHalfLife:
     def test_out_of_order_observation_matches_in_order(self):
         in_order = HeatMap(half_life_s=100.0)
         out_of_order = HeatMap(half_life_s=100.0)
-        key = HeatKey("f", "c", "k")
+        key = HeatKey("f", "c")
         in_order.observe(key, 4.0, at_s=0.0)
         in_order.observe(key, 2.0, at_s=100.0)
         out_of_order.observe(key, 2.0, at_s=100.0)
@@ -221,6 +232,6 @@ class TestSpanIngestion:
     def test_hottest_ranking_is_deterministic_under_ties(self):
         hm = HeatMap()
         for scope in ("lake/b", "lake/a"):
-            hm.observe(HeatKey(scope, "uuid", "q"), 1.0, at_s=0.0)
+            hm.observe(HeatKey(scope, "uuid"), 1.0, at_s=0.0)
         ranked = [key.scope for key, _ in hm.hottest(at_s=0.0)]
         assert ranked == ["lake/a", "lake/b"]

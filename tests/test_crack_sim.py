@@ -38,6 +38,7 @@ from repro.crack import (
 from repro.formats.schema import ColumnType, Field as SchemaField, Schema
 from repro.lake.table import LakeTable, TableConfig
 from repro.obs.trace import Tracer, use_tracer
+from repro.serve.server import SearchServer
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
 from repro.workloads.uuids import UuidWorkload
@@ -205,6 +206,27 @@ class TestCrackSimulation:
         client_a, _, first = _run(seed)
         client_b, _, second = _run(seed)
         assert ranks(client_a, first) == ranks(client_b, second)
+
+
+class TestCrackThroughServer:
+    """Heat from the serving path: the controller must see the queries
+    ``SearchServer`` answers, not only direct ``client.search`` calls."""
+
+    def test_server_traffic_heats_and_cracks_the_hot_file(self):
+        seed = SEEDS[0]
+        clock, store, client, batches = _deployment(seed)
+        controller = _controller(client)
+        tracer = Tracer(clock=clock)
+        with use_tracer(tracer), SearchServer(client) as server:
+            for fi, ri in _trace(seed)[0]:
+                key = batches[fi][ri]
+                assert server.query(COLUMN, UuidQuery(key), k=1).matches
+        assert controller.observe(tracer.pop_finished()) > 0
+        heat = controller.heat.file_heat(at_s=clock.now(), column=COLUMN)
+        hottest = max(heat, key=heat.get)
+        report = controller.tick()
+        assert report.indexed
+        assert hottest in client.meta.indexed_files(COLUMN, INDEX_TYPE)
 
 
 class TestCrackSimulationVectors:

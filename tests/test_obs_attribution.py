@@ -61,7 +61,7 @@ class TestClientPathReconciliation:
         _assert_exact(bill, delta)
         phases = [p.phase for p in bill.phases]
         assert phases[0] == "plan"
-        assert "index_probe" in phases
+        assert "probe" in phases
         assert phases == [p for p in PHASE_ORDER if p in phases]
 
     def test_substring_search(self, indexed_client):

@@ -59,7 +59,7 @@ def _heat(seed: int) -> HeatMap:
     heat = HeatMap()
     for i in range(3):
         heat.observe(
-            HeatKey(f"lake/f{(seed + i) % 4}.bin", "text", "SubstringQuery"),
+            HeatKey(f"lake/f{(seed + i) % 4}.bin", "text"),
             float(seed + i + 1),
             at_s=1_000_000.0 + i,
         )
@@ -247,7 +247,7 @@ class TestCrossProcessStore:
             indexed_client, [("uuid", "uuid_trie")], snapshots=snaps
         )
         controller.heat.observe(
-            HeatKey("lake/f0.bin", "uuid", "UuidQuery"),
+            HeatKey("lake/f0.bin", "uuid"),
             5.0,
             at_s=store.clock.now(),
         )
