@@ -36,7 +36,7 @@ from repro.indices.vector.ivf_pq import IvfPqBuilder
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
-from repro.obs.trace import Span, get_tracer
+from repro.obs.trace import Span, Tracer, get_tracer
 
 _TICKS = get_registry().counter(
     "crack_ticks_total", "Cracking controller ticks by outcome", ("outcome",)
@@ -114,12 +114,14 @@ def refine_index(
 class CrackController(MaintenanceDaemon):
     """Query-adaptive maintenance: index what is hot, leave the rest.
 
-    Feed it span trees with :meth:`observe` (or let it drain the
-    ambient tracer with :meth:`observe_tracer`), then :meth:`tick`. All
-    durable inputs live in the store — the heat map is a *hint*, not
-    state the protocol depends on: a controller restarted with an empty
-    map simply re-learns the workload and converges to the same
-    coverage, which is what the simulation harness's restart leg pins.
+    Feed it span trees with :meth:`observe`, or drain the tracer the
+    searches ran under with :meth:`observe_tracer` (the process-default
+    tracer keeps no finished roots, so the caller installs its own),
+    then :meth:`tick`. All durable inputs live in the store — the heat
+    map is a *hint*, not state the protocol depends on: a controller
+    restarted with an empty map simply re-learns the workload and
+    converges to the same coverage, which is what the simulation
+    harness's restart leg pins.
     """
 
     def __init__(
@@ -157,9 +159,8 @@ class CrackController(MaintenanceDaemon):
         """Fold finished search span trees into the heat map."""
         return self.heat.observe_spans(spans)
 
-    def observe_tracer(self, tracer=None) -> int:
-        """Drain the (given or ambient) tracer's finished roots."""
-        tracer = tracer or get_tracer()
+    def observe_tracer(self, tracer: Tracer) -> int:
+        """Drain ``tracer``'s finished roots into the heat map."""
         return self.observe(tracer.pop_finished())
 
     # -- introspection -------------------------------------------------

@@ -15,19 +15,23 @@ Layout, per the componentization principle of Fig. 6:
   (component ``lut``, written last so it lands in the cached tail of the
   file — reading it costs no extra request), and
 * entries live in **leaf components** (``leaf0``, ``leaf1``, ...), each
-  holding a contiguous range of the sorted entries, bin-packed to a
-  target raw size.
+  holding whole buckets of the sorted entries, bin-packed to a target
+  raw size.
 
 A lookup therefore costs: open (tail fetch, includes the LUT) → one
-dependent round fetching exactly one leaf component.
+dependent round fetching exactly one leaf component. Its CPU is two LUT
+words, one bisect over the leaf starts and the parse of the key's own
+bucket, so it does not grow with the key's first byte.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
-from repro.errors import RottnestIndexError
+from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.indices.base import ExactQuerier, IndexBuilder
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
@@ -37,6 +41,7 @@ TYPE_NAME = "uuid_trie"
 DEFAULT_EXTRA_BITS = 8
 DEFAULT_COMPONENT_TARGET_BYTES = 256 * 1024
 LUT_SIZE = 256
+_LUT_FORMAT = f"<{LUT_SIZE + 1}I"
 
 
 @dataclass
@@ -48,6 +53,8 @@ class TrieEntry:
     gids: list[int]  # global page ids, sorted ascending
 
     def sort_key(self) -> tuple[bytes, int]:
+        """Trie order (prefix bytes, then bits): groups LUT buckets and
+        puts equal entries side by side for :func:`_coalesce`."""
         return (self.prefix, self.bits)
 
 
@@ -58,6 +65,7 @@ class UuidTrieBuilder(IndexBuilder):
     min_rows: ClassVar[int] = 1
 
     def __init__(self, entries: list[TrieEntry], extra_bits: int) -> None:
+        """Wrap entries already sorted by :meth:`TrieEntry.sort_key`."""
         self.entries = entries
         self.extra_bits = extra_bits
 
@@ -69,6 +77,9 @@ class UuidTrieBuilder(IndexBuilder):
         extra_bits: int = DEFAULT_EXTRA_BITS,
         **_params,
     ) -> "UuidTrieBuilder":
+        """Sorted truncated entries over ``(gid, keys)`` pages (see the
+        module docstring); empty keys or zero rows raise
+        :class:`~repro.errors.RottnestIndexError`."""
         pairs: list[tuple[bytes, int]] = []
         for gid, values in pages:
             for value in values:
@@ -115,66 +126,45 @@ class UuidTrieBuilder(IndexBuilder):
         *,
         component_target_bytes: int = DEFAULT_COMPONENT_TARGET_BYTES,
     ) -> None:
-        # Bucket = first byte of the prefix (the 8 LUT levels).
-        bucket_ranges: list[tuple[int, int]] = []  # per bucket: (start, count)
-        starts = [0] * (LUT_SIZE + 1)
+        """Serialize the entries as leaf components plus a bucket LUT.
+
+        A bucket is the entries sharing a first prefix byte (the 8 LUT
+        levels). Buckets are bin-packed, whole and in order, into
+        ``leaf0``, ``leaf1``, ... until a leaf reaches
+        ``component_target_bytes``. Read back to back, the leaves form
+        one entry stream; param ``leaf_starts`` holds each leaf's start
+        offset in it (0 first, strictly increasing). Component ``lut``
+        is 257 little-endian u32 offsets into the same stream: bucket
+        ``b`` is the bytes ``[lut[b], lut[b + 1])``, always inside one
+        leaf. The LUT is added last, so it rides in the file tail.
+        """
+        stream = BinaryWriter()
+        bounds = [0] * (LUT_SIZE + 1)
         for e in self.entries:
-            starts[e.prefix[0] + 1] += 1
-        for b in range(LUT_SIZE):
-            starts[b + 1] += starts[b]
-        for b in range(LUT_SIZE):
-            bucket_ranges.append((starts[b], starts[b + 1] - starts[b]))
-
-        # Bin-pack consecutive buckets into leaf components.
-        leaf_of_bucket = [0] * LUT_SIZE
-        leaf_payloads: list[BinaryWriter] = []
-        leaf_entry_start: list[int] = []  # global entry index of leaf start
-        current = BinaryWriter()
-        current_start = 0
-        current_buckets: list[int] = []
-        cursor = 0
-
-        def flush() -> None:
-            nonlocal current, current_start
-            if current_buckets:
-                for b in current_buckets:
-                    leaf_of_bucket[b] = len(leaf_payloads)
-                leaf_payloads.append(current)
-                leaf_entry_start.append(current_start)
-            current = BinaryWriter()
-            current_buckets.clear()
-
-        for b in range(LUT_SIZE):
-            start, count = bucket_ranges[b]
-            if not current_buckets:
-                current_start = start
-            current_buckets.append(b)
-            for e in self.entries[start : start + count]:
-                _write_entry(current, e)
-            cursor = start + count
-            if len(current) >= component_target_bytes:
-                flush()
-        flush()
-
-        for i, payload in enumerate(leaf_payloads):
-            writer.add_component(f"leaf{i}", payload.getvalue())
-
-        # LUT last: lands in the file tail, so reading it is free.
-        lut = BinaryWriter()
-        for b in range(LUT_SIZE):
-            start, count = bucket_ranges[b]
-            lut.write_uvarint(leaf_of_bucket[b])
-            lut.write_uvarint(start - leaf_entry_start[leaf_of_bucket[b]])
-            lut.write_uvarint(count)
-        writer.add_component("lut", lut.getvalue())
-        writer.params["num_leaves"] = len(leaf_payloads)
+            _write_entry(stream, e)
+            bounds[e.prefix[0] + 1] = len(stream)
+        for b in range(LUT_SIZE):  # an empty bucket ends where it starts
+            bounds[b + 1] = max(bounds[b + 1], bounds[b])
+        # Cut a leaf after the first bucket that brings it to the target.
+        target = max(component_target_bytes, 1)
+        leaf_starts = [0]
+        for bound in bounds[1:LUT_SIZE]:
+            if leaf_starts[-1] + target <= bound < bounds[LUT_SIZE]:
+                leaf_starts.append(bound)
+        data = stream.getvalue()
+        leaf_ends = leaf_starts[1:] + [len(data)]
+        for i, (lo, hi) in enumerate(zip(leaf_starts, leaf_ends)):
+            writer.add_component(f"leaf{i}", data[lo:hi])
+        writer.add_component("lut", struct.pack(_LUT_FORMAT, *bounds))
+        writer.params["leaf_starts"] = leaf_starts
         writer.params["extra_bits"] = self.extra_bits
 
     @classmethod
     def load(cls, reader: IndexFileReader) -> "UuidTrieBuilder":
+        """Rebuild the full sorted entry array by reading every leaf."""
+        names = [f"leaf{i}" for i in range(len(_leaf_starts(reader)))]
         entries: list[TrieEntry] = []
-        num_leaves = reader.params["num_leaves"]
-        for blob in reader.components([f"leaf{i}" for i in range(num_leaves)]):
+        for blob in reader.components(names):
             r = BinaryReader(blob)
             while r.remaining():
                 entries.append(_read_entry(r))
@@ -190,32 +180,17 @@ class UuidTrieBuilder(IndexBuilder):
         ``extra_bits`` headroom absorbs new collisions, which become
         multi-page entries — i.e. possible false positives, by design).
         """
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
-        shifted: list[TrieEntry] = []
-        for part, offset in zip(parts, gid_offsets):
-            for e in part.entries:
-                shifted.append(
-                    TrieEntry(
-                        prefix=e.prefix,
-                        bits=e.bits,
-                        gids=[g + offset for g in e.gids],
-                    )
-                )
-        shifted.sort(key=TrieEntry.sort_key)
-        extra = max(p.extra_bits for p in parts)
-        return cls(_coalesce(shifted), extra)
+        return cls.merge_streaming(parts, gid_offsets)
 
     @classmethod
     def merge_streaming(
         cls, parts: Iterable["UuidTrieBuilder"], gid_offsets: list[int]
     ) -> "UuidTrieBuilder":
-        """Streaming :meth:`merge`: consume one part at a time.
+        """:meth:`merge` over an iterable, consuming one part at a time.
 
         Entry shifting is per part and the sort/coalesce happens once
         over the accumulated array, so only the entries survive each
-        iteration — never two loaded parts at once — and the result is
-        byte-identical to the materialized merge.
+        iteration — never two loaded parts at once.
         """
         shifted: list[TrieEntry] = []
         extra = 0
@@ -226,14 +201,10 @@ class UuidTrieBuilder(IndexBuilder):
         for offset, part in zip(gid_offsets, it):
             count += 1
             extra = max(extra, part.extra_bits)
-            for e in part.entries:
-                shifted.append(
-                    TrieEntry(
-                        prefix=e.prefix,
-                        bits=e.bits,
-                        gids=[g + offset for g in e.gids],
-                    )
-                )
+            shifted.extend(
+                TrieEntry(e.prefix, e.bits, [g + offset for g in e.gids])
+                for e in part.entries
+            )
         if count == 0 or count != len(gid_offsets) or next(it, None) is not None:
             raise RottnestIndexError("parts/offsets length mismatch")
         shifted.sort(key=TrieEntry.sort_key)
@@ -246,28 +217,48 @@ class UuidTrieQuerier(ExactQuerier):
     type_name: ClassVar[str] = TYPE_NAME
 
     def candidate_pages(self, query) -> list[int]:
+        """Pages whose stored prefix matches ``query``: one LUT row, one bucket.
+
+        Reads two LUT words at the key's first byte, bisects the leaf
+        starts to the one leaf holding that bucket, fetches that leaf
+        after a barrier (it depends on the LUT) and parses only the
+        bucket's entries. A malformed LUT, leaf-start param or bucket
+        raises :class:`~repro.errors.FormatError`.
+        """
         key = bytes(query)
         if not key:
             raise RottnestIndexError("cannot search for an empty key")
-        lut = BinaryReader(self.reader.component("lut"))
-        bucket = key[0]
-        leaf_id = skip_in_leaf = count = 0
-        for b in range(bucket + 1):
-            leaf_id = lut.read_uvarint()
-            skip_in_leaf = lut.read_uvarint()
-            count = lut.read_uvarint()
-        if count == 0:
+        lut = self.reader.component("lut")
+        if len(lut) != struct.calcsize(_LUT_FORMAT):
+            raise FormatError(f"trie LUT of {len(lut)} bytes in {self.reader.key!r}")
+        lo, hi = struct.unpack_from("<2I", lut, 4 * key[0])
+        starts = _leaf_starts(self.reader)
+        if hi < lo:
+            raise FormatError(f"decreasing trie bucket bounds in {self.reader.key!r}")
+        if lo == hi:
             return []
+        leaf = bisect_right(starts, lo) - 1
         self.reader.barrier()  # leaf fetch depends on the LUT
-        blob = BinaryReader(self.reader.component(f"leaf{leaf_id}"))
-        for _ in range(skip_in_leaf):
-            _read_entry(blob)  # skip entries of earlier buckets
+        blob = self.reader.component(f"leaf{leaf}")
+        base = starts[leaf]
+        if hi - base > len(blob):
+            raise FormatError(f"trie bucket runs past leaf{leaf} in {self.reader.key!r}")
+        bucket = BinaryReader(blob[lo - base : hi - base])
         gids: list[int] = []
-        for _ in range(count):
-            entry = _read_entry(blob)
+        while bucket.remaining():
+            entry = _read_entry(bucket)
             if prefix_matches(entry.prefix, entry.bits, key):
                 gids.extend(entry.gids)
         return sorted(set(gids))
+
+
+def _leaf_starts(reader: IndexFileReader) -> list[int]:
+    """Param ``leaf_starts``, checked: 0 first, then strictly increasing."""
+    starts = reader.params.get("leaf_starts")
+    ok = isinstance(starts, list) and all(type(s) is int for s in starts)
+    if not ok or starts[:1] != [0] or any(a >= b for a, b in zip(starts, starts[1:])):
+        raise FormatError(f"missing or bad trie leaf_starts in {reader.key!r}")
+    return starts
 
 
 def _coalesce(sorted_entries: list[TrieEntry]) -> list[TrieEntry]:

@@ -25,9 +25,10 @@ query that would dominate the cost of tracing — but lightweight
 :class:`SpanEvent` rows on the innermost active span, which the
 timeline exporter renders as ``GET key [nbytes]`` leaves.
 
-The process-wide default tracer is reached with :func:`get_tracer`;
-scoped code (tests, the ``repro profile`` command) swaps it with
-:func:`use_tracer`.
+The process-wide default tracer is reached with :func:`get_tracer`. It
+keeps no finished roots, so code that reads spans (tests, the
+``repro profile`` command, the cracking controller) installs its own
+tracer with :func:`use_tracer`.
 """
 
 from __future__ import annotations
@@ -256,7 +257,9 @@ class _NullSpan(Span):
 
 _NULL_SPAN = _NullSpan()
 
-_global_tracer = Tracer()
+# Keeps no finished roots: every reader installs its own tracer, and a
+# ring here would pin the last span trees of a serving process.
+_global_tracer = Tracer(keep_finished=0)
 _global_lock = threading.Lock()
 
 

@@ -123,6 +123,7 @@ class TestFaultRuleMatching:
 DOCSTRING_ENFORCED_MODULES = (
     "src/repro/core/maintenance.py",
     "src/repro/core/fsck.py",
+    "src/repro/indices/uuid_trie.py",
     "src/repro/storage/__init__.py",
     "src/repro/storage/costs.py",
     "src/repro/storage/faults.py",
@@ -142,7 +143,8 @@ class TestDocstringPresence:
     CI runs ruff, but this repo must keep the property checkable with
     the test suite alone: every public (and dunder) class/function in
     the crash-safety-critical modules carries a docstring, because
-    those docstrings *are* the protocol's §IV-D correctness argument.
+    those docstrings *are* the protocol's §IV-D correctness argument;
+    the uuid trie's docstrings are its on-disk layout and probe contract.
     """
 
     @pytest.mark.parametrize("rel_path", DOCSTRING_ENFORCED_MODULES)

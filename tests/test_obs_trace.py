@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.queries import UuidQuery
 from repro.obs.trace import Tracer, get_tracer, set_tracer, use_tracer
+from repro.serve import SearchServer
 from repro.serve.executor import SearchExecutor
 from repro.util.clock import SimClock
 from tests.conftest import event_uuid
@@ -210,3 +211,26 @@ class TestCrossThreadPropagation:
         assert {r.name for r in roots} == {"q0", "q1"}
         for root in roots:
             assert [c.name for c in root.children] == [f"{root.name}-child"]
+
+
+class TestDefaultTracerRetention:
+    """The process-default tracer pins no span trees; installed ones do."""
+
+    QUERIES = 12
+
+    def _serve(self, client):
+        with SearchServer(client, max_searchers=2) as server:
+            for i in range(self.QUERIES):
+                server.query("uuid", UuidQuery(event_uuid(1, i)), k=1)
+
+    def test_default_tracer_keeps_no_finished_roots(self, indexed_client):
+        self._serve(indexed_client)
+        assert list(get_tracer().finished) == []
+
+    def test_installed_tracer_returns_every_root(self, indexed_client):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            self._serve(indexed_client)
+        roots = tracer.pop_finished()
+        assert [r.name for r in roots] == ["serve.query"] * self.QUERIES
+        assert tracer.pop_finished() == []

@@ -8,11 +8,14 @@ import time
 import pytest
 
 from repro.core.client import RottnestClient
+from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.core.queries import UuidQuery
 from repro.errors import SimulatedCrash
 from repro.storage.faults import FaultyObjectStore
 from repro.errors import ServeError, ServerOverloaded
+from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable
+from repro.obs.metrics import get_registry
 from repro.serve import CachingObjectStore, SearchServer, ServeStats, SingleFlight
 from repro.serve.server import _percentile
 from repro.storage.retry import RetryingObjectStore
@@ -335,6 +338,39 @@ class TestDegradedServing:
             # Degraded mode planned no indices: pure scan.
             assert degraded.stats.index_files_queried == 0
             assert degraded.stats.files_brute_forced > 0
+
+    @pytest.mark.parametrize("damage", ["lut", "leaf_starts"])
+    def test_malformed_trie_degrades_to_oracle_answer(self, indexed_client, damage):
+        """A stored trie with a bad LUT, or without its leaf starts,
+        raises FormatError on probe; the server answers by scanning."""
+        client = indexed_client
+        for record in client.meta.records():
+            if record.index_type != "uuid_trie":
+                continue
+            reader = IndexFileReader.open(client.store, record.index_key)
+            writer = IndexFileWriter(
+                reader.index_type, reader.column, reader.directory, params=reader.params
+            )
+            add = writer.add_component
+            if damage == "lut":
+                writer.add_component = lambda name, data, **kw: add(
+                    name, data[:-4] if name == "lut" else data, **kw
+                )
+            UuidTrieBuilder.load(reader).write(writer)
+            if damage == "leaf_starts":
+                del writer.params["leaf_starts"]
+            client.store.put(record.index_key, writer.finish())
+        key = event_uuid(1, 5)  # row 5 of the first appended file, only there
+        first_file = client.lake.snapshot().file_paths[0]
+        degraded_total = get_registry().get("serve_degraded_queries_total")
+        before = degraded_total.value()
+        with SearchServer(client, max_searchers=2) as server:
+            result = server.query("uuid", UuidQuery(key), k=3)
+            assert server.stats.degraded == 1
+        assert degraded_total.value() == before + 1
+        assert [(m.file, m.row, bytes(m.value)) for m in result.matches] == [
+            (first_file, 5, key)
+        ]
 
     def test_degraded_queries_counted_per_failure_not_forever(
         self, indexed_client

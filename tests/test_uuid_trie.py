@@ -1,15 +1,17 @@
 """Binary trie index: correctness vs a hash-map reference (§V-C1)."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RottnestIndexError
+from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
+from repro.indices import uuid_trie
 from repro.indices.uuid_trie import UuidTrieBuilder, UuidTrieQuerier
 from repro.storage.object_store import InMemoryObjectStore
 
@@ -70,7 +72,7 @@ def build_pages(n_keys: int, n_pages: int):
     return list(pages.items()), truth
 
 
-def store_index(builder, n_pages, **write_kwargs):
+def page_directory(n_pages: int) -> PageDirectory:
     table = PageTable(
         "f.parquet",
         "uuid",
@@ -79,7 +81,11 @@ def store_index(builder, n_pages, **write_kwargs):
             for i in range(n_pages)
         ],
     )
-    w = IndexFileWriter("uuid_trie", "uuid", PageDirectory([table]))
+    return PageDirectory([table])
+
+
+def store_index(builder, n_pages, **write_kwargs):
+    w = IndexFileWriter("uuid_trie", "uuid", page_directory(n_pages))
     builder.write(w, **write_kwargs)
     store = InMemoryObjectStore()
     store.put("i.index", w.finish())
@@ -151,7 +157,7 @@ class TestTrieSerialization:
         builder = UuidTrieBuilder.build(pages)
         _, r_small = store_index(builder, 4, component_target_bytes=1024)
         _, r_big = store_index(builder, 4, component_target_bytes=1 << 20)
-        assert r_small.params["num_leaves"] > r_big.params["num_leaves"]
+        assert len(r_small.params["leaf_starts"]) > len(r_big.params["leaf_starts"])
 
     def test_query_reads_one_leaf(self):
         pages, truth = build_pages(3000, 4)
@@ -207,3 +213,179 @@ def test_trie_matches_dict_reference(keys, n_pages):
     for key, expected in truth.items():
         got = set(q.candidate_pages(key))
         assert expected <= got
+
+
+def reference_pages(builder, key: bytes) -> list[int]:
+    """Brute force over every entry: the pages a trie probe must return."""
+    return sorted(
+        {
+            gid
+            for e in builder.entries
+            if prefix_matches(e.prefix, e.bits, key)
+            for gid in e.gids
+        }
+    )
+
+
+_keys = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0, 1, 0x7F, 0xFE, 0xFF]), st.integers(0, 255)),
+        st.binary(min_size=0, max_size=11),
+    ).map(lambda t: bytes([t[0]]) + t[1]),
+    min_size=1,
+    max_size=60,
+    unique=True,
+)
+
+
+def _flip_last_bit(key: bytes) -> bytes:
+    return key[:-1] + bytes([key[-1] ^ 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=_keys,
+    other=_keys,
+    n_pages=st.integers(1, 4),
+    mode=st.sampled_from(["build", "merge", "merge_streaming"]),
+    target=st.sampled_from([64, 1024, 1 << 20]),
+    absent=st.lists(st.binary(min_size=1, max_size=12), max_size=10),
+)
+def test_probe_equals_brute_force_reference(keys, other, n_pages, mode, target, absent):
+    """Property: ``candidate_pages`` is exactly the brute-force answer over
+    the builder's entries, for present, absent, bucket-0, bucket-255 and
+    empty-bucket keys, with one or many leaves, built or merged."""
+
+    def pages_of(ks):
+        pages: dict[int, list[bytes]] = {g: [] for g in range(n_pages)}
+        for i, key in enumerate(ks):
+            pages[i % n_pages].append(key)
+        return list(pages.items())
+
+    part_a = UuidTrieBuilder.build(pages_of(keys))
+    total_pages = n_pages
+    builder = part_a
+    probes = set(keys)
+    if mode != "build":
+        # The second part shares keys with the first and holds keys one
+        # bit away from them, so merged prefixes collide.
+        shared = keys[::2] + [_flip_last_bit(k) for k in keys[1::2]]
+        second = list(dict.fromkeys(shared + other))
+        part_b = UuidTrieBuilder.build(pages_of(second))
+        merge = getattr(UuidTrieBuilder, mode)
+        builder = merge([part_a, part_b], [0, n_pages])
+        total_pages = 2 * n_pages
+        probes |= set(second)
+    used = {e.prefix[0] for e in builder.entries}
+    empty = [b for b in range(256) if b not in used][:3]
+    probes |= set(absent)
+    probes |= {b"\x00", b"\x00" * 16, b"\xff", b"\xff" * 16}
+    probes |= {bytes([b]) + b"\x5a" * 15 for b in empty}
+    _, reader = store_index(builder, total_pages, component_target_bytes=target)
+    q = UuidTrieQuerier(reader)
+    for key in probes:
+        assert q.candidate_pages(key) == reference_pages(builder, key)
+
+
+class TestProbeWork:
+    def test_bucket_255_probe_parses_only_its_bucket(self, monkeypatch):
+        pages, _ = build_pages(2000, 8)
+        builder = UuidTrieBuilder.build(pages)
+        # One leaf holds every bucket, so only the LUT can skip them.
+        _, reader = store_index(builder, 8, component_target_bytes=1 << 20)
+        key = next(key_of(i) for i in range(2000) if key_of(i)[0] == 0xFF)
+        in_bucket = sum(1 for e in builder.entries if e.prefix[0] == 0xFF)
+        parsed = []
+        real = uuid_trie._read_entry
+
+        def counting(r):
+            parsed.append(1)
+            return real(r)
+
+        monkeypatch.setattr(uuid_trie, "_read_entry", counting)
+        assert UuidTrieQuerier(reader).candidate_pages(key)
+        assert len(parsed) == in_bucket < len(builder.entries) // 50
+
+
+class _LutRewritingWriter(IndexFileWriter):
+    """Index writer that passes the trie LUT through ``rewrite``."""
+
+    def __init__(self, *args, rewrite, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rewrite = rewrite
+
+    def add_component(self, name, data, **kwargs):
+        if name == "lut":
+            data = self.rewrite(data)
+        return super().add_component(name, data, **kwargs)
+
+
+def _stored_trie(rewrite=lambda lut: lut, params=lambda p: None):
+    pages, _ = build_pages(2000, 4)
+    w = _LutRewritingWriter("uuid_trie", "uuid", page_directory(4), rewrite=rewrite)
+    UuidTrieBuilder.build(pages).write(w, component_target_bytes=1024)
+    params(w.params)
+    store = InMemoryObjectStore()
+    store.put("i.index", w.finish())
+    return UuidTrieQuerier(IndexFileReader.open(store, "i.index"))
+
+
+def _set_words(lut: bytes, at: int, *words: int) -> bytes:
+    out = bytearray(lut)
+    struct.pack_into(f"<{len(words)}I", out, 4 * at, *words)
+    return bytes(out)
+
+
+class TestProbeFormatErrors:
+    """A malformed trie raises FormatError, never struct/Key/IndexError."""
+
+    KEY = key_of(7)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda lut: lut[:-4],  # one bound short
+            lambda lut: lut + b"\0\0\0\0",  # one bound long
+            lambda lut: b"",
+            # Bucket bounds that decrease.
+            lambda lut: _set_words(lut, key_of(7)[0], 9, 3),
+            # A bucket that runs past the end of its leaf.
+            lambda lut: _set_words(lut, key_of(7)[0] + 1, 1 << 31),
+        ],
+        ids=["short", "long", "empty", "decreasing", "past-leaf"],
+    )
+    def test_bad_lut(self, rewrite):
+        q = _stored_trie(rewrite=rewrite)
+        with pytest.raises(FormatError):
+            q.candidate_pages(self.KEY)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p.pop("leaf_starts"),
+            lambda p: p.update(leaf_starts=[]),
+            lambda p: p.update(leaf_starts=[5]),
+            lambda p: p.update(leaf_starts=[0, 0]),
+            lambda p: p.update(leaf_starts=[0, 10, 5]),
+            lambda p: p.update(leaf_starts="0"),
+            lambda p: p.update(leaf_starts=[0, "9"]),
+        ],
+        ids=["missing", "empty", "nonzero-first", "repeated", "decreasing",
+             "not-a-list", "not-ints"],
+    )
+    def test_bad_leaf_starts(self, mutate):
+        q = _stored_trie(params=mutate)
+        with pytest.raises(FormatError):
+            q.candidate_pages(self.KEY)
+        with pytest.raises(FormatError):
+            UuidTrieBuilder.load(q.reader)
+
+    def test_bucket_cut_mid_entry(self):
+        # Shrink the key's bucket by one byte: its last entry is truncated.
+        def rewrite(lut):
+            b = key_of(7)[0]
+            hi = struct.unpack_from("<I", lut, 4 * (b + 1))[0]
+            return _set_words(lut, b + 1, hi - 1)
+
+        with pytest.raises(FormatError):
+            _stored_trie(rewrite=rewrite).candidate_pages(self.KEY)
